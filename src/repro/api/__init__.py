@@ -5,7 +5,6 @@ from repro.api.dataset import DataSet, GroupedDataSet
 from repro.api.environment import (
     CollectResult,
     Environment,
-    StreamExecutionEnvironment,
 )
 from repro.api.stream import (
     ConnectedKeyedStreams,
@@ -20,7 +19,6 @@ __all__ = [
     "GroupedDataSet",
     "CollectResult",
     "Environment",
-    "StreamExecutionEnvironment",
     "ConnectedKeyedStreams",
     "ConnectedStreams",
     "DataStream",

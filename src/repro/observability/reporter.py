@@ -17,9 +17,19 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+
+from repro.observability.runtime import merge_cutty_stats
+
+if TYPE_CHECKING:
+    from repro.runtime.engine import JobResult
 
 FORMATS = ("text", "json", "prometheus")
+
+#: Per-subtask row sections of a shard report, concatenated across
+#: shards; the first three are ordered by (operator, subtask).
+_SORTED_ROWS = ("operators", "cutover", "arrangements")
+_WATERMARK_GAUGES = ("skew_ms", "skew_ms_max", "lag_ms", "lag_ms_max")
 
 
 class JobReport:
@@ -54,6 +64,62 @@ class JobReport:
         return ("JobReport(operators=%d, sim_ms=%s)"
                 % (len(self._sections.get("operators", [])),
                    job.get("simulated_time_ms")))
+
+
+def federate_report(result: "JobResult", shards: List[Dict[str, Any]],
+                    checkpoints: Dict[str, Any],
+                    spans: Iterable[Dict[str, Any]] = ()) -> Dict[str, Any]:
+    """Build one job report's sections from per-shard sections.
+
+    A shard is the set of subtasks one engine instance runs: the whole
+    job on the cooperative backend, one worker's share on the
+    multiprocess backend.  Row sections are concatenated, Cutty stats
+    and span counts summed, watermark gauges take the worst shard; the
+    ``job`` totals come from the federated ``result`` and the
+    ``checkpoints`` section from the checkpoint coordinator.  ``spans``
+    adds span digests recorded outside the shards.
+    """
+    sections: Dict[str, Any] = {
+        "job": {
+            "rounds": result.rounds,
+            "simulated_time_ms": result.simulated_time_ms,
+            "records_emitted": result.records_emitted,
+            "recoveries": result.recoveries,
+            "restarts": result.restarts,
+            "dead_letters": len(result.dead_letters),
+            "cancelled": result.cancelled,
+            "observability": any(shard["job"]["observability"]
+                                 for shard in shards),
+        },
+        "checkpoints": checkpoints,
+        "cutty": merge_cutty_stats(
+            item for shard in shards for item in shard["cutty"].items()),
+    }
+    for name in _SORTED_ROWS + ("channels",):
+        if any(name in shard for shard in shards):
+            rows = [row for shard in shards for row in shard.get(name, ())]
+            if name in _SORTED_ROWS:
+                rows.sort(key=lambda row: (row["operator"], row["subtask"]))
+            sections[name] = rows
+    watermarks = [shard["watermarks"] for shard in shards
+                  if "watermarks" in shard]
+    if watermarks:
+        sections["watermarks"] = {
+            name: max(section[name] for section in watermarks)
+            for name in _WATERMARK_GAUGES}
+    digests = [shard["spans"] for shard in shards if "spans" in shard]
+    digests.extend(spans)
+    if digests:
+        by_name: Dict[str, int] = {}
+        for digest in digests:
+            for name, count in digest["by_name"].items():
+                by_name[name] = by_name.get(name, 0) + count
+        sections["spans"] = {
+            "started": sum(digest["started"] for digest in digests),
+            "dropped": sum(digest["dropped"] for digest in digests),
+            "by_name": by_name,
+        }
+    return sections
 
 
 def _sanitize(label: str) -> str:

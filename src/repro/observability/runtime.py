@@ -30,7 +30,7 @@ are deterministic for a given program and seed.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 
 from repro.observability.registry import MetricsRegistry
 from repro.observability.tracing import Span, TraceContext
@@ -167,9 +167,8 @@ class RuntimeObservability:
             self._checkpoint_spans[checkpoint_id] = self.tracer.open_span(
                 "checkpoint", id=checkpoint_id, participants=participants)
 
-    def on_checkpoint_completed(self,
-                                completed: "CompletedCheckpoint") -> None:
-        entries = checkpoint_state_entries(completed)
+    def on_checkpoint_completed(self, completed: "CompletedCheckpoint",
+                                entries: int) -> None:
         self._checkpoint_entries.set(entries)
         span = self._checkpoint_spans.pop(completed.checkpoint_id, None)
         if span is not None and self.tracer is not None:
@@ -218,26 +217,29 @@ def collect_cutty_stats(engine: "Engine") -> Dict[str, Any]:
     their sharing stats (per-query results/combines, slices alive,
     elements) across parallel subtasks, keyed by operator name."""
     from repro.cutty.operator import CuttyWindowOperator
+    return merge_cutty_stats(
+        (chained.operator.name, chained.operator.sharing_stats())
+        for task in engine.tasks for chained in task.chain
+        if isinstance(chained.operator, CuttyWindowOperator))
+
+
+def merge_cutty_stats(named_stats: Iterable[Tuple[str, Dict[str, Any]]]
+                      ) -> Dict[str, Any]:
+    """Sum Cutty sharing stats by operator name -- across the subtasks
+    of one engine, or across the ``cutty`` sections of several shards."""
     merged: Dict[str, Dict[str, Any]] = {}
-    for task in engine.tasks:
-        for chained in task.chain:
-            operator = chained.operator
-            if not isinstance(operator, CuttyWindowOperator):
-                continue
-            stats = operator.sharing_stats()
-            existing = merged.get(operator.name)
-            if existing is None:
-                merged[operator.name] = stats
-                continue
-            existing["keys"] += stats["keys"]
-            existing["elements"] += stats["elements"]
-            existing["live_slices"] += stats["live_slices"]
-            for query_id, per_query in stats["queries"].items():
-                bucket = existing["queries"].setdefault(
-                    query_id, {"results": 0, "combines": 0})
-                bucket["results"] += per_query["results"]
-                bucket["combines"] += per_query["combines"]
-            for name, value in stats["aggregate_ops"].items():
-                existing["aggregate_ops"][name] = (
-                    existing["aggregate_ops"].get(name, 0) + value)
+    for name, stats in named_stats:
+        total = merged.setdefault(name, {
+            "keys": 0, "elements": 0, "live_slices": 0,
+            "queries": {}, "aggregate_ops": {}})
+        for field in ("keys", "elements", "live_slices"):
+            total[field] += stats[field]
+        for query_id, per_query in stats["queries"].items():
+            bucket = total["queries"].setdefault(
+                query_id, {"results": 0, "combines": 0})
+            bucket["results"] += per_query["results"]
+            bucket["combines"] += per_query["combines"]
+        for op, value in stats["aggregate_ops"].items():
+            total["aggregate_ops"][op] = (
+                total["aggregate_ops"].get(op, 0) + value)
     return merged

@@ -37,14 +37,11 @@ from repro.observability.runtime import (
     RuntimeObservability,
 )
 from repro.runtime.channels import Channel
+from repro.runtime.coordinator import CheckpointCoordinator
 from repro.runtime.elements import MAX_TIMESTAMP, MIN_TIMESTAMP
 from repro.runtime.partition import ForwardPartitioner
 from repro.runtime.task import OutputEdge, Task
-from repro.state.checkpoint import (
-    CheckpointStore,
-    PendingCheckpoint,
-    TaskSnapshot,
-)
+from repro.state.checkpoint import CompletedCheckpoint, TaskSnapshot
 from repro.time.clock import ManualClock
 
 if TYPE_CHECKING:  # imported lazily to avoid a plan <-> runtime cycle
@@ -226,12 +223,12 @@ class EngineConfig:
         self.operator_profiling = operator_profiling
         self.tick_ms = tick_ms
         self.checkpoint_interval_ms = checkpoint_interval_ms
-        #: When set, the multiprocess coordinator persists every sealed
-        #: checkpoint under this directory as CRC-checksummed snapshot
-        #: files plus a manifest, and recovery restores from *disk* with
-        #: verification -- a corrupted or torn checkpoint falls back to
-        #: the next-oldest retained one (see :mod:`repro.state.durable`).
-        #: ``None`` keeps checkpoints in coordinator memory only.
+        #: When set, the checkpoint coordinator persists every sealed
+        #: checkpoint here as CRC-checksummed snapshot files plus a
+        #: manifest, and recovery restores from *disk* with verification
+        #: -- a corrupted or torn checkpoint falls back to the next-oldest
+        #: retained one (see :mod:`repro.state.durable`).  ``None`` keeps
+        #: checkpoints in coordinator memory only.
         self.checkpoint_dir = checkpoint_dir
         self.max_retained_checkpoints = max_retained_checkpoints
         #: Wall-clock cadence of worker liveness heartbeats on the
@@ -373,6 +370,10 @@ class JobResult:
 class Engine:
     """Executes one JobGraph to completion."""
 
+    #: Whether this engine keeps the job's durable checkpoint store (a
+    #: multiprocess worker leaves it to the parent).
+    _persists_checkpoints = True
+
     def __init__(self, job_graph: "JobGraph",
                  config: Optional[EngineConfig] = None) -> None:
         self.job_graph = job_graph
@@ -380,22 +381,10 @@ class Engine:
         self.clock = ManualClock()
         self.tasks: List[Task] = []
         self._tasks_by_vertex: Dict[int, List[Task]] = {}
-        if self.config.checkpoint_dir is not None:
-            from repro.state.durable import DurableCheckpointStore
-            self.checkpoint_store: CheckpointStore = DurableCheckpointStore(
-                self.config.checkpoint_dir,
-                self.config.max_retained_checkpoints)
-        else:
-            self.checkpoint_store = CheckpointStore(
-                self.config.max_retained_checkpoints)
-        self._pending_checkpoint: Optional[PendingCheckpoint] = None
-        self._next_checkpoint_id = 1
-        self._next_checkpoint_time: Optional[int] = (
-            self.config.checkpoint_interval_ms)
-        self._checkpoint_durations: List[int] = []
-        self._checkpoints_completed = 0
-        self._checkpoints_aborted = 0
-        self._consecutive_checkpoint_failures = 0
+        self.coordinator = CheckpointCoordinator(
+            self.config, persist=self._persists_checkpoints)
+        self.coordinator.begin_attempt(self.clock.now())
+        self.checkpoint_store = self.coordinator.store
         #: Checkpoint ids sealed this round, whose completion
         #: notifications still have to be delivered to the tasks (2PC
         #: sinks commit on this signal).
@@ -403,13 +392,7 @@ class Engine:
         self.recoveries = 0
         self.restarts = 0
         self.dead_letters: List["DeadLetter"] = []
-        # Note: counter maps merge by *unqualified* name, so coordinator
-        # counters must not reuse task-level counter names (tasks already
-        # count their own dead_letters).
-        self.metrics = MetricGroup("coordinator")
-        self._restarts_metric = self.metrics.counter("restarts")
-        self._failures_metric = self.metrics.counter("failures")
-        self._aborted_metric = self.metrics.counter("checkpoints_aborted")
+        self.metrics = self.coordinator.metrics
         #: The live observability layer, or ``None``; the scheduler pays
         #: one ``is not None`` test per round when disabled, and the
         #: per-record path is untouched either way.
@@ -484,94 +467,54 @@ class Engine:
     # -- checkpoint coordination -------------------------------------------
 
     def _maybe_trigger_checkpoint(self) -> None:
-        interval = self.config.checkpoint_interval_ms
-        if interval is None or self._pending_checkpoint is not None:
-            return
-        if self._next_checkpoint_time is None:
-            self._next_checkpoint_time = self.clock.now() + interval
-        if self.clock.now() < self._next_checkpoint_time:
-            return
-        running = [t for t in self.tasks if not t.finished]
-        if not running or any(t.finished for t in self.tasks if t.is_source):
-            # A draining job cannot complete a full barrier cut.
-            return
-        checkpoint_id = self._next_checkpoint_id
-        self._next_checkpoint_id += 1
+        coordinator = self.coordinator
+        now = self.clock.now()
+        if (not coordinator.due(now)
+                or any(t.finished for t in self.tasks if t.is_source)):
+            return  # a draining job cannot complete a full barrier cut
         expected = {t.subtask_id for t in self.tasks if not t.finished}
-        self._pending_checkpoint = PendingCheckpoint(
-            checkpoint_id, expected, trigger_time=self.clock.now())
+        checkpoint_id = coordinator.trigger(expected, now)
+        if checkpoint_id is None:
+            return
         for task in self.tasks:
             if task.is_source and not task.finished:
                 task.pending_checkpoint = checkpoint_id
-        self._next_checkpoint_time = self.clock.now() + interval
         if self.observability is not None:
             self.observability.on_checkpoint_triggered(checkpoint_id,
                                                        len(expected))
 
     def _acknowledge_checkpoint(self, checkpoint_id: int,
                                 snapshot: TaskSnapshot) -> None:
-        pending = self._pending_checkpoint
-        if pending is None or pending.checkpoint_id != checkpoint_id:
-            return  # ack of an aborted checkpoint
-        pending.acknowledge(snapshot)
-        if pending.is_complete:
-            completed = pending.seal(self.clock.now())
-            self.checkpoint_store.add(completed)
-            self._checkpoint_durations.append(completed.duration_ms)
-            self._checkpoints_completed += 1
-            self._consecutive_checkpoint_failures = 0
-            self._pending_checkpoint = None
-            # Deferred until after the current task step so notifications
-            # observe a consistent post-checkpoint world.
-            self._completion_notifications.append(checkpoint_id)
-            if self.observability is not None:
-                self.observability.on_checkpoint_completed(completed)
+        completed = self.coordinator.acknowledge(checkpoint_id, snapshot,
+                                                 self.clock.now())
+        if completed is None:
+            return
+        # Deferred until after the current task step so notifications
+        # observe a consistent post-checkpoint world.
+        self._completion_notifications.append(checkpoint_id)
+        if self.observability is not None:
+            self.observability.on_checkpoint_completed(
+                completed, self.coordinator.last_state_entries)
 
     def _maybe_abort_pending_checkpoint(self) -> None:
         """Coordinator self-defence: give up on a checkpoint that can no
         longer complete (a participant finished before acking) or that
         overstayed ``checkpoint_timeout_ms``, instead of wedging the
         trigger loop forever."""
-        pending = self._pending_checkpoint
-        if pending is None:
+        if self.coordinator.pending is None:
             return
-        reason = None
-        by_id = {task.subtask_id: task for task in self.tasks}
-        for subtask in sorted(pending.pending_subtasks):
-            task = by_id.get(subtask)
-            if task is None or task.finished:
-                reason = ("participant %s#%d finished before acknowledging"
-                          % subtask)
-                break
-        if reason is None and pending.is_expired(
-                self.clock.now(), self.config.checkpoint_timeout_ms):
-            reason = ("timed out after %d ms waiting on %r"
-                      % (self.config.checkpoint_timeout_ms,
-                         sorted(pending.pending_subtasks)))
-        if reason is not None:
-            self._abort_pending_checkpoint(reason)
-
-    def _abort_pending_checkpoint(self, reason: str) -> None:
-        pending = self._pending_checkpoint
-        assert pending is not None
-        pending.abort(reason)
-        self._pending_checkpoint = None
+        finished = {task.subtask_id for task in self.tasks if task.finished}
+        reason = self.coordinator.stale_reason(finished, self.clock.now())
+        if reason is None:
+            return
+        checkpoint_id = self.coordinator.pending.checkpoint_id
+        escalation = self.coordinator.abort(reason)
         if self.observability is not None:
-            self.observability.on_checkpoint_aborted(pending.checkpoint_id,
-                                                     reason)
+            self.observability.on_checkpoint_aborted(checkpoint_id, reason)
         for task in self.tasks:
-            task.abort_checkpoint(pending.checkpoint_id)
-        self._checkpoints_aborted += 1
-        self._aborted_metric.inc()
-        self._consecutive_checkpoint_failures += 1
-        tolerable = self.config.tolerable_consecutive_checkpoint_failures
-        if (tolerable is not None
-                and self._consecutive_checkpoint_failures > tolerable):
-            self._consecutive_checkpoint_failures = 0
-            self._handle_failure(JobFailedError(
-                "more than %d consecutive checkpoint failures "
-                "(latest: checkpoint %d aborted: %s)"
-                % (tolerable, pending.checkpoint_id, reason)))
+            task.abort_checkpoint(checkpoint_id)
+        if escalation is not None:
+            self._handle_failure(escalation)
 
     def _deliver_checkpoint_notifications(self) -> None:
         """Tell every live task about checkpoints sealed last round; this
@@ -590,29 +533,23 @@ class Engine:
     def _handle_failure(self, exc: BaseException) -> None:
         """The supervisor: consult the restart strategy and either restart
         the job (from the latest checkpoint, or from scratch when none
-        completed yet) or let the failure escape."""
-        self._failures_metric.inc()
-        strategy = self.config.restart_strategy
-        if strategy is None:
-            # Legacy contract: injected crashes restore from the latest
-            # checkpoint; real operator exceptions propagate unchanged.
+        survives) or let the failure escape."""
+        delay_ms = self.coordinator.on_failure(exc, self.clock.now())
+        if delay_ms is None:
+            # No restart strategy: injected crashes restore from the
+            # latest checkpoint; real operator exceptions propagate.
             if isinstance(exc, InjectedFailure):
                 self.recover()
                 return
             raise exc
-        delay_ms = strategy.on_failure(self.clock.now())
-        if delay_ms is None:
-            raise JobFailedError(
-                "restart strategy %r gave up after: %r" % (strategy, exc)
-            ) from exc
         if delay_ms:
             self.clock.advance(delay_ms)  # restart delay burns simulated time
         self.restarts += 1
-        self._restarts_metric.inc()
         if self.observability is not None:
             self.observability.on_restart(self.restarts, delay_ms, exc)
-        if self.checkpoint_store.latest is not None:
-            self.recover()
+        checkpoint = self.coordinator.restore_point()
+        if checkpoint is not None:
+            self._restore(checkpoint)
         else:
             self._restart_from_scratch()
 
@@ -620,13 +557,10 @@ class Engine:
         """Redeploy the whole job from the job graph -- fresh operators,
         empty channels, sources at offset zero.  Used when a supervised
         failure strikes before any checkpoint completed."""
-        self._pending_checkpoint = None
+        self.coordinator.begin_attempt(self.clock.now())
         self.tasks = []
         self._tasks_by_vertex = {}
         self._build()
-        if self.config.checkpoint_interval_ms is not None:
-            self._next_checkpoint_time = (
-                self.clock.now() + self.config.checkpoint_interval_ms)
         self.recoveries += 1
 
     # -- recovery -----------------------------------------------------------
@@ -634,20 +568,23 @@ class Engine:
     def recover(self) -> None:
         """Restore every subtask from the latest completed checkpoint and
         rewind sources; in-flight data is discarded (it will be replayed)."""
-        latest = self.checkpoint_store.latest
-        if latest is None:
+        checkpoint = self.coordinator.restore_point()
+        if checkpoint is None:
             raise JobFailedError("failure without any completed checkpoint")
-        self._pending_checkpoint = None
+        self._restore(checkpoint)
+
+    def _restore(self, checkpoint: CompletedCheckpoint) -> None:
+        self.coordinator.pending = None
         for task in self.tasks:
             for channel, _ in task.inputs:
                 channel.clear()
             task.reset_progress()
-            snapshot = latest.snapshot_for(task.subtask_id)
+            snapshot = checkpoint.snapshot_for(task.subtask_id)
             if snapshot is not None:
                 task.restore(snapshot)
         self.recoveries += 1
         if self.observability is not None:
-            self.observability.on_recovery(latest.checkpoint_id)
+            self.observability.on_recovery(checkpoint.checkpoint_id)
 
     def operator_stats(self) -> List[OperatorStats]:
         """Job-level per-operator throughput profile, merged across
@@ -805,15 +742,29 @@ class Engine:
                 break
         return progressed
 
-    def _next_processing_timer(self) -> int:
-        """The earliest pending processing-time timer across live tasks,
-        or ``MAX_TIMESTAMP`` when none exists (used to jump the clock
-        over idle stretches)."""
-        return min(
+    def _tick(self) -> int:
+        """Advance the simulated clock one tick and fire the processing
+        timers that came due; returns the new time."""
+        self.clock.advance(self.config.tick_ms)
+        now = self.clock.now()
+        for task in self.tasks:
+            task.on_processing_time(now)
+        return now
+
+    def _skip_to_next_timer(self, now: int) -> bool:
+        """Jump the clock over an idle stretch to the earliest pending
+        processing-time timer and fire it; False when none lies ahead."""
+        next_timer = min(
             (chained.timers.processing_time.peek_timestamp()
              for task in self.tasks if not task.finished
              for chained in task.chain),
             default=MAX_TIMESTAMP)
+        if not now < next_timer < MAX_TIMESTAMP:
+            return False
+        self.clock.set(next_timer)
+        for task in self.tasks:
+            task.on_processing_time(next_timer)
+        return True
 
     def execute(self) -> JobResult:
         cfg = self.config
@@ -841,10 +792,7 @@ class Engine:
             progressed = self._step_tasks(rounds)
 
             self._deliver_checkpoint_notifications()
-            self.clock.advance(cfg.tick_ms)
-            now = self.clock.now()
-            for task in self.tasks:
-                task.on_processing_time(now)
+            now = self._tick()
             self._maybe_abort_pending_checkpoint()
             self._maybe_trigger_checkpoint()
             rounds += 1
@@ -856,11 +804,7 @@ class Engine:
                 continue
             # No record progress: jump the clock to the next processing
             # timer if one exists, otherwise count towards a stall.
-            next_timer = self._next_processing_timer()
-            if next_timer < MAX_TIMESTAMP and next_timer > now:
-                self.clock.set(next_timer)
-                for task in self.tasks:
-                    task.on_processing_time(next_timer)
+            if self._skip_to_next_timer(now):
                 stall_rounds = 0
                 continue
             stall_rounds += 1
@@ -880,19 +824,21 @@ class Engine:
         through the same path."""
         if self.observability is not None:
             self.observability.sample()  # final frontier/occupancy snapshot
+        coordinator = self.coordinator
         counters = merge_counter_maps(
             [task.metrics.counters() for task in self.tasks]
-            + [self.metrics.counters()])
+            + [coordinator.counters()])
         gauges = merge_gauge_maps(
             task.metrics.gauges() for task in self.tasks)
         result = JobResult(rounds, self.clock.now(), counters,
-                           checkpoints_completed=self._checkpoints_completed,
+                           checkpoints_completed=(
+                               coordinator.checkpoints_completed),
                            checkpoint_durations_ms=list(
-                               self._checkpoint_durations),
+                               coordinator.checkpoint_durations),
                            recoveries=self.recoveries,
                            cancelled=cancelled,
                            restarts=self.restarts,
-                           checkpoints_aborted=self._checkpoints_aborted,
+                           checkpoints_aborted=coordinator.checkpoints_aborted,
                            dead_letters=list(self.dead_letters),
                            gauges=gauges)
         self._last_result = result
@@ -911,13 +857,27 @@ class Engine:
         (records in/out, checkpoints, Cutty cost tables) report with
         observability disabled; the runtime sections (stall time, lag
         and skew gauges, channel occupancy, spans) need
-        ``EngineConfig(observability=True)``.
+        ``EngineConfig(observability=True)``.  Built by the same
+        federation as the multiprocess backend's report, over this
+        engine's single shard.
         """
-        from repro.observability import JobReport, collect_cutty_stats
+        from repro.observability import JobReport
+        from repro.observability.reporter import federate_report
         result = self._last_result
         if result is None:
             raise JobFailedError(
                 "job_report() requires a completed execute()")
+        return JobReport(federate_report(
+            result, [self._report_sections()],
+            self.coordinator.report_section()))
+
+    def _report_sections(self) -> Dict[str, Any]:
+        """This engine's shard of the job report: per-subtask rows and
+        the gauges of the tasks it runs (federated by
+        :func:`~repro.observability.reporter.federate_report`)."""
+        from repro.observability import collect_cutty_stats
+        result = self._last_result
+        assert result is not None
         obs = self.observability
         now = self.clock.now()
         sim_seconds = result.simulated_time_ms / 1000.0
@@ -943,46 +903,22 @@ class Engine:
                 row["backpressure_stall_ms"] = obs.stall_ms.get(key, 0)
             operators.append(row)
 
-        checkpoints: Dict[str, Any] = {
-            "completed": result.checkpoints_completed,
-            "aborted": result.checkpoints_aborted,
-        }
-        durations = result.checkpoint_durations_ms
-        if durations:
-            checkpoints["duration_ms_min"] = min(durations)
-            checkpoints["duration_ms_max"] = max(durations)
-            checkpoints["duration_ms_mean"] = (
-                sum(durations) / len(durations))
-        if obs is not None:
-            checkpoints["last_state_entries"] = obs.registry.gauge(
-                "checkpoint_state_entries").value
-
         sections: Dict[str, Any] = {
             "job": {
                 "rounds": result.rounds,
                 "simulated_time_ms": result.simulated_time_ms,
                 "records_emitted": result.records_emitted,
-                "recoveries": result.recoveries,
-                "restarts": result.restarts,
-                "dead_letters": len(result.dead_letters),
-                "cancelled": result.cancelled,
                 "observability": obs is not None,
             },
             "operators": operators,
-            "checkpoints": checkpoints,
             "cutty": collect_cutty_stats(self),
         }
-
-        cutover = [row for task in self.tasks
-                   for row in task.operator_reports("cutover_report")]
-        if cutover:
-            sections["cutover"] = cutover
-
-        arrangements = [
-            row for task in self.tasks
-            for row in task.operator_reports("arrangement_report")]
-        if arrangements:
-            sections["arrangements"] = arrangements
+        for name, hook in (("cutover", "cutover_report"),
+                           ("arrangements", "arrangement_report")):
+            rows = [row for task in self.tasks
+                    for row in task.operator_reports(hook)]
+            if rows:
+                sections[name] = rows
 
         if obs is not None:
             skew = obs.registry.gauge("watermark_skew_ms")
@@ -993,23 +929,14 @@ class Engine:
                 "lag_ms": lag.value,
                 "lag_ms_max": lag.max_value,
             }
-            channels = []
-            for task in self.tasks:
-                for channel, _ in task.inputs:
-                    channels.append({
-                        "channel": channel.name,
-                        "pushed": channel.pushed,
-                        "polled": channel.polled,
-                        "cleared": channel.cleared,
-                        "occupancy_hwm": obs.registry.gauge(
-                            "channel_occupancy.%s"
-                            % channel.name).max_value,
-                    })
-            sections["channels"] = channels
+            sections["channels"] = [
+                {"channel": channel.name,
+                 "pushed": channel.pushed,
+                 "polled": channel.polled,
+                 "cleared": channel.cleared,
+                 "occupancy_hwm": obs.registry.gauge(
+                     "channel_occupancy.%s" % channel.name).max_value}
+                for task in self.tasks for channel, _ in task.inputs]
             if obs.tracer is not None:
-                sections["spans"] = {
-                    "started": obs.tracer.started,
-                    "dropped": obs.tracer.dropped,
-                    "by_name": obs.tracer.spans_by_name(),
-                }
-        return JobReport(sections)
+                sections["spans"] = obs.tracer.digest()
+        return sections

@@ -31,14 +31,15 @@ Design notes:
   through the ordinary ``has_output_capacity`` scan.  Writes are
   non-blocking so two workers saturating each other's pipes cannot
   deadlock.
-* **The parent process is the checkpoint coordinator**: it triggers
-  barriers on a wall-clock interval, collects acks (each carrying the
-  subtask snapshot) over the control pipes, seals completed checkpoints
-  into its :class:`~repro.state.checkpoint.CheckpointStore`, and
-  broadcasts completion notifications (the 2PC commit signal).  On a
-  worker failure it tears down the whole fleet and respawns it from the
-  latest completed checkpoint -- shared-nothing recovery with fresh
-  pipes, so no epoch filtering is needed.
+* **The parent process runs the checkpoint coordinator**: the same
+  :class:`~repro.runtime.coordinator.CheckpointCoordinator` as the
+  cooperative engine, clocked in wall milliseconds.  The parent triggers
+  barriers on its cadence, feeds it the acks (each carrying the subtask
+  snapshot) arriving over the control pipes, and broadcasts completion
+  notifications (the 2PC commit signal).  On a worker failure it tears
+  down the whole fleet and respawns it from the coordinator's restore
+  point -- shared-nothing recovery with fresh pipes, so no epoch
+  filtering is needed.
 * **Collect sinks stream** their buckets to the parent incrementally;
   the parent replays them into the caller-visible result buckets on
   success.  Delivery is at-least-once across a checkpoint restore
@@ -62,6 +63,7 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.metrics import merge_counter_maps, merge_gauge_maps
+from repro.runtime.coordinator import CheckpointCoordinator
 from repro.runtime.channels import Channel, element_weight
 from repro.runtime.columnar import (
     ColumnarCodecError,
@@ -69,7 +71,7 @@ from repro.runtime.columnar import (
     decode_columnar,
     encode_columnar,
 )
-from repro.runtime.elements import MAX_TIMESTAMP, RecordBatch, StreamElement
+from repro.runtime.elements import RecordBatch, StreamElement
 from repro.runtime.engine import (
     Engine,
     EngineConfig,
@@ -81,12 +83,7 @@ from repro.runtime.operators import CollectSink
 from repro.runtime.shm import RingError, ShmRing, ShmRingReader, ShmRingWriter
 from repro.runtime.task import Task
 from repro.runtime.watchdog import FAILED, WorkerWatchdog
-from repro.state.checkpoint import (
-    CheckpointStore,
-    PendingCheckpoint,
-    SubtaskId,
-    TaskSnapshot,
-)
+from repro.state.checkpoint import CompletedCheckpoint, SubtaskId, TaskSnapshot
 from repro.state.durable import DurableCheckpointStore
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -442,6 +439,8 @@ class ShardEngine(Engine):
     parent coordinator over the control pipe.
     """
 
+    _persists_checkpoints = False
+
     def __init__(self, job_graph: Any, config: EngineConfig, worker_id: int,
                  num_workers: int, data_writers: Dict[int, ExchangeWriter],
                  control: _FrameWriter, restoring: bool = False) -> None:
@@ -524,9 +523,6 @@ class ShardEngine(Engine):
 
     # -- checkpoint inversion ----------------------------------------------
 
-    def _maybe_trigger_checkpoint(self) -> None:
-        pass  # the parent coordinator owns triggering
-
     def _acknowledge_checkpoint(self, checkpoint_id: int,
                                 snapshot: TaskSnapshot) -> None:
         self._control.send(("ack", checkpoint_id, snapshot))
@@ -535,7 +531,6 @@ class ShardEngine(Engine):
         # No in-worker supervision: every failure (quarantine escalation
         # included) tears down the shard and escalates to the parent,
         # which owns the restart strategy and the checkpoint store.
-        self._failures_metric.inc()
         raise exc
 
     # -- the shard loop -----------------------------------------------------
@@ -669,10 +664,7 @@ class ShardEngine(Engine):
                 raise _Stop()  # the parent died; do not run on orphaned
             moved = self.pump_ingress(readers, ring_readers)
             progressed = self._step_tasks(rounds)
-            self.clock.advance(config.tick_ms)
-            now = self.clock.now()
-            for task in self.tasks:
-                task.on_processing_time(now)
+            now = self._tick()
             rounds += 1
             if self.observability is not None:
                 self.observability.on_round(rounds)
@@ -686,11 +678,7 @@ class ShardEngine(Engine):
             if progressed or moved:
                 last_progress = time.monotonic()
                 continue
-            next_timer = self._next_processing_timer()
-            if MAX_TIMESTAMP > next_timer > now:
-                self.clock.set(next_timer)
-                for task in self.tasks:
-                    task.on_processing_time(next_timer)
+            if self._skip_to_next_timer(now):
                 last_progress = time.monotonic()
                 continue
             if time.monotonic() - last_progress > _STALL_TIMEOUT_S:
@@ -713,7 +701,7 @@ class ShardEngine(Engine):
             "counters": result.counters,
             "gauges": result.gauges,
             "dead_letters": _sanitize_dead_letters(self.dead_letters),
-            "report_sections": self.job_report().as_dict(),
+            "report_sections": self._report_sections(),
             "registry": (self.observability.registry.snapshot()
                          if self.observability is not None else None),
             "exchange": {dst: dict(exchange.stats)
@@ -864,6 +852,14 @@ def _worker_main(worker_id: int, num_workers: int, job_graph: Any,
 # -- the parent coordinator -------------------------------------------------
 
 
+def _broadcast(writers: Dict[int, _FrameWriter],
+               message: Tuple[Any, ...]) -> None:
+    """Send one control message to every worker whose pipe is intact."""
+    for writer in writers.values():
+        if not writer.broken:
+            writer.send(message)
+
+
 class _FleetView:
     """What a :class:`~repro.runtime.faults.ProcessChaosInjector` is
     allowed to touch: the live worker fleet of the current attempt, by
@@ -915,7 +911,7 @@ class _FleetView:
     def corrupt_retained_checkpoint(self, rng: Any) -> Optional[str]:
         """Flip one byte in the newest persisted snapshot file; returns
         the path, or ``None`` when nothing durable exists yet."""
-        store = self._engine.checkpoint_store
+        store = self._engine.coordinator.store
         if not isinstance(store, DurableCheckpointStore):
             return None
         ids = store.persisted_ids()
@@ -962,13 +958,8 @@ class MultiprocessEngine:
         self.config = config or EngineConfig(backend="multiprocess")
         self.num_workers = (self.config.num_workers
                             or max(1, min(os.cpu_count() or 1, 8)))
-        if self.config.checkpoint_dir is not None:
-            self.checkpoint_store: CheckpointStore = DurableCheckpointStore(
-                self.config.checkpoint_dir,
-                self.config.max_retained_checkpoints)
-        else:
-            self.checkpoint_store = CheckpointStore(
-                self.config.max_retained_checkpoints)
+        self.coordinator = CheckpointCoordinator(self.config)
+        self.checkpoint_store = self.coordinator.store
         #: Health supervision: heartbeats drive a per-worker state
         #: machine (RUNNING -> SUSPECTED -> FAILED -> RESTARTING) so
         #: hung -- not just dead -- workers are detected and handed to
@@ -997,12 +988,6 @@ class MultiprocessEngine:
         self.dead_letters: List[Any] = []
         self.recoveries = 0
         self.restarts = 0
-        self._failures = 0
-        self._checkpoints_completed = 0
-        self._checkpoints_aborted = 0
-        self._checkpoint_durations: List[int] = []
-        self._consecutive_checkpoint_failures = 0
-        self._next_checkpoint_id = 1
         self._started = time.monotonic()
         self._last_result: Optional[JobResult] = None
         self._worker_sections: List[Dict[str, Any]] = []
@@ -1060,60 +1045,40 @@ class MultiprocessEngine:
             raise JobFailedError("this engine already executed")
         restore: Optional[Dict[SubtaskId, TaskSnapshot]] = None
         while True:
-            outcome = self._run_attempt(restore)
-            if outcome.get("ok"):
-                return self._finalize(outcome["payloads"])
-            error: BaseException = outcome["error"]
-            self._failures += 1
-            strategy = self.config.restart_strategy
-            if strategy is None:
-                raise error
-            delay_ms = strategy.on_failure(self._now_ms())
+            payloads, error = self._run_attempt(restore)
+            if error is None:
+                return self._finalize(payloads)
+            delay_ms = self.coordinator.on_failure(error, self._now_ms())
             if delay_ms is None:
-                raise JobFailedError(
-                    "restart strategy %r gave up after: %r"
-                    % (strategy, error)) from error
+                raise error
             if delay_ms:
                 time.sleep(delay_ms / 1000.0)
             if self.watchdog is not None:
                 self.watchdog.mark_fleet_restarting()
             self.restarts += 1
             self.recoveries += 1
-            restore = self._restore_snapshots()
+            checkpoint = self._restore_point()
+            restore = dict(checkpoint.snapshots) if checkpoint else None
             if restore is None:
                 self._received.clear()  # partial output of a dead attempt
 
-    def _restore_snapshots(self) -> Optional[Dict[SubtaskId, TaskSnapshot]]:
-        """Pick the checkpoint the next attempt restores from.
-
-        With a durable store this *re-reads* the snapshots from disk and
-        verifies every checksum -- the in-memory copy is deliberately
-        not trusted, so a corrupted or torn persisted checkpoint is
-        detected here and recovery falls back to the next-oldest intact
-        one (or to a from-scratch restart when none survives)."""
-        store = self.checkpoint_store
-        if isinstance(store, DurableCheckpointStore):
-            before = store.restore_fallbacks
-            if self._tracer is not None:
-                with self._tracer.span("fleet.restore") as span:
-                    checkpoint = store.load_latest_verified()
-                    span.attrs["fallbacks"] = (store.restore_fallbacks
-                                               - before)
-                    span.attrs["checkpoint"] = (
-                        checkpoint.checkpoint_id
-                        if checkpoint is not None else None)
-            else:
-                checkpoint = store.load_latest_verified()
-            if checkpoint is None:
-                return None
-            return dict(checkpoint.snapshots)
-        latest = store.latest
-        if latest is None:
-            return None
-        return dict(latest.snapshots)
+    def _restore_point(self) -> Optional[CompletedCheckpoint]:
+        """The coordinator's restore point; a verified read from disk is
+        traced as a ``fleet.restore`` span."""
+        store = self.coordinator.store
+        if self._tracer is None or not isinstance(store,
+                                                  DurableCheckpointStore):
+            return self.coordinator.restore_point()
+        before = store.restore_fallbacks
+        with self._tracer.span("fleet.restore") as span:
+            checkpoint = self.coordinator.restore_point()
+            span.attrs["fallbacks"] = store.restore_fallbacks - before
+            span.attrs["checkpoint"] = (checkpoint.checkpoint_id
+                                        if checkpoint is not None else None)
+        return checkpoint
 
     def _run_attempt(self, restore: Optional[Dict[SubtaskId, TaskSnapshot]]
-                     ) -> Dict[str, Any]:
+                     ) -> Tuple[Dict[int, Any], Optional[BaseException]]:
         num = self.num_workers
         data_fds = {(src, dst): os.pipe()
                     for src in range(num) for dst in range(num) if src != dst}
@@ -1167,9 +1132,9 @@ class MultiprocessEngine:
             self.watchdog.begin_attempt(range(num), self._now_ms())
         graceful = False
         try:
-            outcome = self._supervise(writers, readers, processes)
-            graceful = bool(outcome.get("ok"))
-            return outcome
+            payloads, error = self._supervise(writers, readers, processes)
+            graceful = error is None
+            return payloads, error
         finally:
             for writer in writers.values():
                 writer.close()
@@ -1206,120 +1171,43 @@ class MultiprocessEngine:
 
     def _supervise(self, writers: Dict[int, _FrameWriter],
                    readers: Dict[int, _FrameReader],
-                   processes: List[Any]) -> Dict[str, Any]:
-        interval = self.config.checkpoint_interval_ms
-        next_trigger = (self._now_ms() + interval
-                        if interval is not None else None)
-        pending: Optional[PendingCheckpoint] = None
+                   processes: List[Any]
+                   ) -> Tuple[Dict[int, Any], Optional[BaseException]]:
+        """Drive one attempt to every worker's result payload or to the
+        first failure: read the control pipes, run the watchdog and
+        process chaos, trigger and abort checkpoints on the wall clock."""
+        coordinator = self.coordinator
+        coordinator.begin_attempt(self._now_ms())
         finished_subtasks: set = set()
         done: Dict[int, Dict[str, Any]] = {}
         error: Optional[BaseException] = None
-        watchdog = self.watchdog
         chaos = self.config.process_chaos
         fleet = (_FleetView(self, processes, writers)
                  if chaos is not None else None)
-
-        def broadcast(message: Tuple[Any, ...]) -> None:
-            for writer in writers.values():
-                if not writer.broken:
-                    writer.send(message)
-
-        def abort_pending(reason: str) -> Optional[BaseException]:
-            nonlocal pending
-            assert pending is not None
-            pending.abort(reason)
-            broadcast(("abort", pending.checkpoint_id))
-            self._checkpoints_aborted += 1
-            self._consecutive_checkpoint_failures += 1
-            pending = None
-            tolerable = (
-                self.config.tolerable_consecutive_checkpoint_failures)
-            if (tolerable is not None
-                    and self._consecutive_checkpoint_failures > tolerable):
-                self._consecutive_checkpoint_failures = 0
-                return JobFailedError(
-                    "more than %d consecutive checkpoint failures "
-                    "(latest: %s)" % (tolerable, reason))
-            return None
-
         selector = selectors.DefaultSelector()
         for wid, reader in readers.items():
             selector.register(reader.fd, selectors.EVENT_READ, wid)
         try:
             while len(done) < self.num_workers and error is None:
                 timeout = 0.05
-                if next_trigger is not None:
-                    timeout = min(
-                        timeout, max(0.0,
-                                     (next_trigger - self._now_ms()) / 1000.0))
-                events = selector.select(timeout)
-                for key, _ in events:
-                    wid = key.data
-                    reader = readers[wid]
-                    try:
-                        messages = reader.read_available()
-                    except FrameError as exc:
-                        if error is None:
-                            error = JobFailedError(
-                                "corrupt control frame from worker %d: %s"
-                                % (wid, exc))
-                        if watchdog is not None:
-                            watchdog.mark_failed(
-                                wid, "corrupt control frame: %s" % exc)
+                if coordinator.next_trigger is not None:
+                    timeout = min(timeout, max(
+                        0.0,
+                        (coordinator.next_trigger - self._now_ms()) / 1000.0))
+                for key, _ in selector.select(timeout):
+                    reader = readers[key.data]
+                    failure = self._read_worker(key.data, reader, writers,
+                                                finished_subtasks, done)
+                    error = error or failure
+                    if reader.corrupt:
                         selector.unregister(reader.fd)
-                        continue
-                    for message in messages:
-                        kind = message[0]
-                        if kind == "heartbeat":
-                            if watchdog is not None:
-                                watchdog.heartbeat(message[1], self._now_ms())
-                        elif kind == "ack":
-                            _, checkpoint_id, snapshot = message
-                            if (pending is not None
-                                    and pending.checkpoint_id
-                                    == checkpoint_id):
-                                pending.acknowledge(snapshot)
-                                if pending.is_complete:
-                                    completed = pending.seal(self._now_ms())
-                                    self.checkpoint_store.add(completed)
-                                    self._checkpoint_durations.append(
-                                        completed.duration_ms)
-                                    self._checkpoints_completed += 1
-                                    self._consecutive_checkpoint_failures = 0
-                                    pending = None
-                                    broadcast(("notify",
-                                               completed.checkpoint_id))
-                        elif kind == "collect":
-                            _, bucket_key, items = message
-                            self._received.setdefault(
-                                tuple(bucket_key), []).extend(items)
-                        elif kind == "task_finished":
-                            finished_subtasks.add(tuple(message[1]))
-                        elif kind == "done":
-                            done[wid] = message[1]
-                            if watchdog is not None:
-                                watchdog.mark_done(wid)
-                        elif kind == "failed":
-                            _, error_type, error_line, trace = message
-                            error = JobFailedError(
-                                "worker %d failed: %s\n%s"
-                                % (wid, error_line, trace))
-                            if watchdog is not None:
-                                watchdog.mark_failed(wid, error_line)
-                    if reader.eof and wid not in done and error is None:
-                        error = JobFailedError(
-                            "worker %d exited without reporting a result"
-                            % wid)
-                        if watchdog is not None:
-                            watchdog.mark_failed(
-                                wid, "control pipe EOF without a result")
                 for writer in writers.values():
                     writer.flush()
                 if error is not None:
                     break
                 now = self._now_ms()
-                if watchdog is not None:
-                    for event in watchdog.evaluate(now):
+                if self.watchdog is not None:
+                    for event in self.watchdog.evaluate(now):
                         if event.state == FAILED and error is None:
                             error = JobFailedError(
                                 "worker %d declared failed by watchdog: %s"
@@ -1328,60 +1216,20 @@ class MultiprocessEngine:
                         break
                 if chaos is not None:
                     chaos.on_tick(fleet)
-                if pending is not None:
-                    stragglers = pending.pending_subtasks & finished_subtasks
-                    if stragglers:
-                        error = abort_pending(
-                            "participant %s#%d finished before acknowledging"
-                            % sorted(stragglers)[0])
-                    elif done:
-                        error = abort_pending("a worker drained mid-flight")
-                    elif pending.is_expired(
-                            now, self.config.checkpoint_timeout_ms):
-                        # A barrier deadline against a worker the
-                        # watchdog already suspects is not a checkpoint
-                        # problem -- it is a hung worker.  Escalate to
-                        # worker failure so the restart strategy runs
-                        # instead of aborting checkpoint after
-                        # checkpoint against a process that will never
-                        # ack.
-                        laggards = sorted(
-                            {index % self.num_workers
-                             for _, index in pending.pending_subtasks})
-                        suspected = ([wid for wid in laggards
-                                      if watchdog.is_suspected(wid)]
-                                     if watchdog is not None else [])
-                        if suspected:
-                            reason = (
-                                "checkpoint %d barrier expired and laggard "
-                                "worker(s) %r are heartbeat-suspected"
-                                % (pending.checkpoint_id, suspected))
-                            abort_pending(reason)
-                            for wid in suspected:
-                                watchdog.mark_failed(wid, reason)
-                            error = JobFailedError(reason)
-                        else:
-                            error = abort_pending(
-                                "timed out after %d ms waiting on %r"
-                                % (self.config.checkpoint_timeout_ms,
-                                   sorted(pending.pending_subtasks)))
-                    if error is not None:
-                        break
-                if (next_trigger is not None and pending is None
-                        and not done and now >= next_trigger
+                error = self._check_pending_checkpoint(
+                    writers, now, finished_subtasks, bool(done))
+                if error is not None:
+                    break
+                if (not done and coordinator.due(now)
                         and not (self._source_subtasks & finished_subtasks)):
-                    expected = self._all_subtasks - finished_subtasks
-                    if expected:
-                        checkpoint_id = self._next_checkpoint_id
-                        self._next_checkpoint_id += 1
-                        pending = PendingCheckpoint(checkpoint_id, expected,
-                                                    trigger_time=now)
-                        broadcast(("trigger", checkpoint_id))
-                    next_trigger = now + interval
+                    checkpoint_id = coordinator.trigger(
+                        self._all_subtasks - finished_subtasks, now)
+                    if checkpoint_id is not None:
+                        _broadcast(writers, ("trigger", checkpoint_id))
         finally:
             selector.close()
         if error is not None:
-            broadcast(("stop",))
+            _broadcast(writers, ("stop",))
             # Best-effort flush with a deadline: a SIGSTOP'd worker
             # never reads, so a blocking drain() here would wedge the
             # coordinator on the very failure it is reporting.  Workers
@@ -1393,29 +1241,106 @@ class MultiprocessEngine:
                 for writer in writers.values():
                     writer.flush()
                 time.sleep(0.005)
-            return {"ok": False, "error": error}
-        return {"ok": True, "payloads": done}
+        return done, error
+
+    def _read_worker(self, wid: int, reader: _FrameReader,
+                     writers: Dict[int, _FrameWriter],
+                     finished_subtasks: set,
+                     done: Dict[int, Dict[str, Any]]
+                     ) -> Optional[BaseException]:
+        """Handle everything one worker sent; returns the failure it
+        reported or caused, if any."""
+        watchdog = self.watchdog
+        try:
+            messages = reader.read_available()
+        except FrameError as exc:
+            if watchdog is not None:
+                watchdog.mark_failed(wid, "corrupt control frame: %s" % exc)
+            return JobFailedError("corrupt control frame from worker %d: %s"
+                                  % (wid, exc))
+        error: Optional[BaseException] = None
+        for message in messages:
+            kind = message[0]
+            if kind == "heartbeat":
+                if watchdog is not None:
+                    watchdog.heartbeat(message[1], self._now_ms())
+            elif kind == "ack":
+                _, checkpoint_id, snapshot = message
+                completed = self.coordinator.acknowledge(
+                    checkpoint_id, snapshot, self._now_ms())
+                if completed is not None:
+                    _broadcast(writers, ("notify", completed.checkpoint_id))
+            elif kind == "collect":
+                _, bucket_key, items = message
+                self._received.setdefault(tuple(bucket_key), []).extend(items)
+            elif kind == "task_finished":
+                finished_subtasks.add(tuple(message[1]))
+            elif kind == "done":
+                done[wid] = message[1]
+                if watchdog is not None:
+                    watchdog.mark_done(wid)
+            elif kind == "failed":
+                _, error_type, error_line, trace = message
+                error = JobFailedError("worker %d failed: %s\n%s"
+                                       % (wid, error_line, trace))
+                if watchdog is not None:
+                    watchdog.mark_failed(wid, error_line)
+        if reader.eof and wid not in done and error is None:
+            error = JobFailedError(
+                "worker %d exited without reporting a result" % wid)
+            if watchdog is not None:
+                watchdog.mark_failed(wid, "control pipe EOF without a result")
+        return error
+
+    def _check_pending_checkpoint(self, writers: Dict[int, _FrameWriter],
+                                  now: int, finished_subtasks: set,
+                                  drained: bool) -> Optional[BaseException]:
+        """Abort a pending checkpoint that can no longer complete; returns
+        the failure this escalates to, if any.  A barrier deadline
+        against a heartbeat-suspected worker is a hung worker, not a
+        checkpoint problem: it fails the worker so the restart strategy
+        runs, instead of aborting checkpoint after checkpoint."""
+        coordinator = self.coordinator
+        pending = coordinator.pending
+        if pending is None:
+            return None
+        suspected: List[int] = []
+        if (self.watchdog is not None and not drained and pending.is_expired(
+                now, self.config.checkpoint_timeout_ms)):
+            laggards = {index % self.num_workers
+                        for _, index in pending.pending_subtasks}
+            suspected = [wid for wid in sorted(laggards)
+                         if self.watchdog.is_suspected(wid)]
+        if suspected:
+            reason = ("checkpoint %d barrier expired and laggard worker(s) "
+                      "%r are heartbeat-suspected"
+                      % (pending.checkpoint_id, suspected))
+        elif drained:
+            reason = "a worker drained mid-flight"
+        else:
+            reason = coordinator.stale_reason(finished_subtasks, now)
+            if reason is None:
+                return None
+        escalation = coordinator.abort(reason)
+        _broadcast(writers, ("abort", pending.checkpoint_id))
+        if not suspected:
+            return escalation
+        for wid in suspected:
+            self.watchdog.mark_failed(wid, reason)
+        return JobFailedError(reason)
 
     # -- result federation ---------------------------------------------------
 
     def _finalize(self, payloads: Dict[int, Dict[str, Any]]) -> JobResult:
         ordered = [payloads[wid] for wid in sorted(payloads)]
-        parent_counters = {"restarts": self.restarts,
-                           "failures": self._failures,
-                           "checkpoints_aborted": self._checkpoints_aborted}
+        coordinator = self.coordinator
+        parent_counters = coordinator.counters()
         if self.watchdog is not None:
             parent_counters["heartbeats_received"] = (
                 self.watchdog.heartbeats_received)
             parent_counters["watchdog_suspicions"] = self.watchdog.suspicions
             parent_counters["watchdog_failures"] = (
                 self.watchdog.failures_declared)
-        if isinstance(self.checkpoint_store, DurableCheckpointStore):
-            stats = self.checkpoint_store.durability_stats()
-            parent_counters["checkpoints_persisted"] = stats["persisted"]
-            parent_counters["checkpoint_corruptions_detected"] = (
-                stats["corruptions_detected"])
-            parent_counters["checkpoint_restore_fallbacks"] = (
-                stats["restore_fallbacks"])
         counters = merge_counter_maps(
             [payload["counters"] for payload in ordered] + [parent_counters])
         gauges = merge_gauge_maps(payload["gauges"] for payload in ordered)
@@ -1437,11 +1362,11 @@ class MultiprocessEngine:
             simulated_time_ms=max(payload["simulated_time_ms"]
                                   for payload in ordered),
             counters=counters,
-            checkpoints_completed=self._checkpoints_completed,
-            checkpoint_durations_ms=list(self._checkpoint_durations),
+            checkpoints_completed=coordinator.checkpoints_completed,
+            checkpoint_durations_ms=list(coordinator.checkpoint_durations),
             recoveries=self.recoveries,
             restarts=self.restarts,
-            checkpoints_aborted=self._checkpoints_aborted,
+            checkpoints_aborted=coordinator.checkpoints_aborted,
             dead_letters=list(self.dead_letters),
             gauges=gauges)
         self._last_result = result
@@ -1482,70 +1407,31 @@ class MultiprocessEngine:
         return registry.snapshot()
 
     def job_report(self) -> Any:
-        """One federated report over the whole fleet: worker operator
-        rows are concatenated, checkpoint statistics come from the
-        parent coordinator (it owns the store), watermark/span gauges
-        merge across workers, and per-worker registry snapshots federate
-        through :meth:`MetricsRegistry.federate`."""
+        """One report over the whole fleet: the worker shards' sections
+        federate exactly as the cooperative engine's single shard does
+        (:func:`~repro.observability.reporter.federate_report`), with
+        checkpoint statistics from the parent's coordinator.  The fleet
+        adds its own sections: ``workers``, ``fleet``, ``exchange`` and
+        the federated registry under ``metrics``."""
         from repro.observability import JobReport
         from repro.observability.registry import MetricsRegistry
+        from repro.observability.reporter import federate_report
         result = self._last_result
         if result is None:
             raise JobFailedError("job_report() requires a completed execute()")
-        operators: List[Dict[str, Any]] = []
-        for worker_sections in self._worker_sections:
-            operators.extend(worker_sections.get("operators", []))
-        operators.sort(key=lambda row: (row["operator"], row["subtask"]))
-        checkpoints: Dict[str, Any] = {
-            "completed": result.checkpoints_completed,
-            "aborted": result.checkpoints_aborted,
-        }
-        durations = result.checkpoint_durations_ms
-        if durations:
-            checkpoints["duration_ms_min"] = min(durations)
-            checkpoints["duration_ms_max"] = max(durations)
-            checkpoints["duration_ms_mean"] = sum(durations) / len(durations)
-        if isinstance(self.checkpoint_store, DurableCheckpointStore):
-            checkpoints["durable"] = self.checkpoint_store.durability_stats()
-        sections: Dict[str, Any] = {
-            "job": {
-                "rounds": result.rounds,
-                "simulated_time_ms": result.simulated_time_ms,
-                "records_emitted": result.records_emitted,
-                "recoveries": result.recoveries,
-                "restarts": result.restarts,
-                "dead_letters": len(result.dead_letters),
-                "cancelled": result.cancelled,
-                "observability": bool(self._registry_snapshots),
-                "backend": "multiprocess",
-                "workers": self.num_workers,
-            },
-            "operators": operators,
-            "checkpoints": checkpoints,
-            "cutty": _merge_cutty_sections(
-                [ws.get("cutty", {}) for ws in self._worker_sections]),
-            "workers": [
-                {"worker": index,
-                 "rounds": ws.get("job", {}).get("rounds", 0),
-                 "simulated_time_ms": ws.get("job", {}).get(
-                     "simulated_time_ms", 0),
-                 "records_emitted": ws.get("job", {}).get(
-                     "records_emitted", 0)}
-                for index, ws in enumerate(self._worker_sections)],
-        }
-        cutover: List[Dict[str, Any]] = []
-        for worker_sections in self._worker_sections:
-            cutover.extend(worker_sections.get("cutover", []))
-        if cutover:
-            cutover.sort(key=lambda row: (row["operator"], row["subtask"]))
-            sections["cutover"] = cutover
-        arrangements: List[Dict[str, Any]] = []
-        for worker_sections in self._worker_sections:
-            arrangements.extend(worker_sections.get("arrangements", []))
-        if arrangements:
-            arrangements.sort(
-                key=lambda row: (row["operator"], row["subtask"]))
-            sections["arrangements"] = arrangements
+        parent_spans = ([self._tracer.digest()] if self._tracer is not None
+                        and self._tracer.started else [])
+        sections = federate_report(result, self._worker_sections,
+                                   self.coordinator.report_section(),
+                                   parent_spans)
+        sections["job"]["backend"] = "multiprocess"
+        sections["job"]["workers"] = self.num_workers
+        sections["workers"] = [
+            {"worker": index,
+             "rounds": shard["job"]["rounds"],
+             "simulated_time_ms": shard["job"]["simulated_time_ms"],
+             "records_emitted": shard["job"]["records_emitted"]}
+            for index, shard in enumerate(self._worker_sections)]
         fleet: Dict[str, Any] = {
             "shutdown": {"terminated": self._workers_terminated,
                          "killed": self._workers_killed},
@@ -1562,37 +1448,6 @@ class MultiprocessEngine:
                 "transport": self._exchange_transport,
                 "edges": self._exchange_edges,
                 "totals": totals,
-            }
-        watermark_sections = [ws["watermarks"]
-                              for ws in self._worker_sections
-                              if "watermarks" in ws]
-        if watermark_sections:
-            sections["watermarks"] = {
-                name: max(section.get(name, 0)
-                          for section in watermark_sections)
-                for name in ("skew_ms", "skew_ms_max", "lag_ms", "lag_ms_max")}
-        channels: List[Dict[str, Any]] = []
-        for worker_sections in self._worker_sections:
-            channels.extend(worker_sections.get("channels", []))
-        if channels:
-            sections["channels"] = channels
-        span_sections = [ws["spans"] for ws in self._worker_sections
-                         if "spans" in ws]
-        if self._tracer is not None and self._tracer.started:
-            span_sections.append({
-                "started": self._tracer.started,
-                "dropped": self._tracer.dropped,
-                "by_name": self._tracer.spans_by_name(),
-            })
-        if span_sections:
-            by_name: Dict[str, int] = {}
-            for section in span_sections:
-                for name, count in section.get("by_name", {}).items():
-                    by_name[name] = by_name.get(name, 0) + count
-            sections["spans"] = {
-                "started": sum(s.get("started", 0) for s in span_sections),
-                "dropped": sum(s.get("dropped", 0) for s in span_sections),
-                "by_name": by_name,
             }
         if self._registry_snapshots:
             sections["metrics"] = MetricsRegistry.federate(
@@ -1618,34 +1473,3 @@ class MultiprocessEngine:
             "savepoint restore requires the cooperative backend; run "
             "with EngineConfig(backend='cooperative')")
 
-
-def _merge_cutty_sections(sections: List[Dict[str, Any]]
-                          ) -> Dict[str, Any]:
-    """Sum per-worker Cutty sharing stats (same shape as the merge
-    across subtasks in :func:`collect_cutty_stats`)."""
-    merged: Dict[str, Dict[str, Any]] = {}
-    for section in sections:
-        for name, stats in section.items():
-            existing = merged.get(name)
-            if existing is None:
-                merged[name] = {
-                    "keys": stats["keys"],
-                    "elements": stats["elements"],
-                    "live_slices": stats["live_slices"],
-                    "queries": {query: dict(per_query) for query, per_query
-                                in stats["queries"].items()},
-                    "aggregate_ops": dict(stats["aggregate_ops"]),
-                }
-                continue
-            existing["keys"] += stats["keys"]
-            existing["elements"] += stats["elements"]
-            existing["live_slices"] += stats["live_slices"]
-            for query, per_query in stats["queries"].items():
-                bucket = existing["queries"].setdefault(
-                    query, {"results": 0, "combines": 0})
-                bucket["results"] += per_query["results"]
-                bucket["combines"] += per_query["combines"]
-            for name_, value in stats["aggregate_ops"].items():
-                existing["aggregate_ops"][name_] = (
-                    existing["aggregate_ops"].get(name_, 0) + value)
-    return merged

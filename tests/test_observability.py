@@ -248,12 +248,12 @@ class TestEngineIntegration:
                                  elements_per_step=4)
         env.execute()
         engine = env.last_engine
-        assert engine._checkpoints_completed > 0
+        assert engine.coordinator.checkpoints_completed > 0
         checkpoint_spans = [
             span for span in engine.observability.tracer.finished_spans()
             if span.name == "checkpoint"
             and span.attrs.get("outcome") == "completed"]
-        assert len(checkpoint_spans) == engine._checkpoints_completed
+        assert len(checkpoint_spans) == engine.coordinator.checkpoints_completed
         for span in checkpoint_spans:
             assert span.attrs["state_entries"] >= 0
             assert span.duration_ms >= 0
