@@ -13,13 +13,14 @@ receiving task blocks that channel until barriers arrived on all of its
 inputs, preserving the exactly-once cut of asynchronous barrier
 snapshotting.
 
-Occupancy accounting is *record-denominated*: a
-:class:`~repro.runtime.elements.RecordBatch` of *n* records weighs *n*
-against capacity, so backpressure thresholds mean the same thing in
-batched and scalar execution.  The occupancy is maintained as a plain
-integer on push/poll -- the scheduler's runnable scan reads ``size`` and
-``has_capacity`` once per task per round, and must not pay a recount per
-element.
+Data travels only in record batches
+(:class:`~repro.runtime.elements.RecordBatch` or its columnar twin), and
+occupancy accounting is *record-denominated*: a batch of *n* records
+weighs *n* against capacity, so backpressure thresholds mean the same
+thing whatever the ``batch_size``.  The occupancy is maintained as a
+plain integer on push/poll -- the scheduler's runnable scan reads
+``size`` and ``has_capacity`` once per task per round, and must not pay
+a recount per element.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class Channel:
         Budget-exact stepping: a task that polls a batch bigger than its
         remaining step budget processes only the records it has budget
         for and returns the rest here, so ``elements_per_step`` throttles
-        identically in batched and scalar mode (backpressure dynamics --
-        and everything observing them -- stay comparable).  Reverses the
+        identically at every batch size (backpressure dynamics -- and
+        everything observing them -- stay comparable).  Reverses the
         poll-side accounting so ``pushed``/``polled`` still balance.
         """
         weight = element_weight(element)
@@ -131,10 +132,8 @@ class Channel:
     @property
     def has_buffered_record(self) -> bool:
         """Whether at least one *data* record (not a barrier, watermark or
-        EOS) is buffered -- the only elements chaos may drop/duplicate.
-        Records inside batches count."""
-        return any(element.is_record
-                   or (element.is_batch and element.records)
+        EOS) is buffered -- the only elements chaos may drop/duplicate."""
+        return any(element.is_batch and element.records
                    for element in self._queue)
 
     def _demote_columnar(self, index: int) -> StreamElement:
@@ -151,14 +150,9 @@ class Channel:
     def drop_one_record(self) -> bool:
         """Remove the oldest buffered data record (simulated network
         loss); control elements are never dropped, their loss would wedge
-        alignment rather than exercise recovery.  For a batched channel
-        the oldest record is carved out of its batch in place."""
+        alignment rather than exercise recovery.  The oldest record is
+        carved out of its batch in place."""
         for index, element in enumerate(self._queue):
-            if element.is_record:
-                del self._queue[index]
-                self.size -= 1
-                self.cleared += 1
-                return True
             if element.is_batch and element.records:
                 element = self._demote_columnar(index)
                 element.records.pop(0)
@@ -173,11 +167,6 @@ class Channel:
         """Repeat the oldest buffered data record in place (simulated
         network retransmission)."""
         for index, element in enumerate(self._queue):
-            if element.is_record:
-                self._queue.insert(index, element)
-                self.size += 1
-                self.pushed += 1
-                return True
             if element.is_batch and element.records:
                 element = self._demote_columnar(index)
                 element.records.insert(0, element.records[0])

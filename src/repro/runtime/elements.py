@@ -3,7 +3,9 @@
 Following the Flink execution model that STREAMLINE builds on, a channel
 carries an interleaved sequence of four element kinds:
 
-* :class:`Record` -- a data tuple with an optional event timestamp,
+* a record batch -- a run of :class:`Record` rows (data tuples with an
+  optional event timestamp), as a :class:`RecordBatch` or its columnar
+  twin :class:`ColumnarBatch`; a record never travels on its own,
 * :class:`Watermark` -- an assertion that no record with a smaller event
   timestamp will arrive on this channel,
 * :class:`CheckpointBarrier` -- separates the records belonging to
@@ -31,10 +33,6 @@ class StreamElement:
     __slots__ = ()
 
     @property
-    def is_record(self) -> bool:
-        return False
-
-    @property
     def is_batch(self) -> bool:
         return False
 
@@ -55,8 +53,9 @@ class StreamElement:
         return False
 
 
-class Record(StreamElement):
-    """A data element, optionally stamped with an event timestamp.
+class Record:
+    """A data row, optionally stamped with an event timestamp.  Records
+    are what operators process; on a channel they travel inside batches.
 
     ``key`` is a routing artefact: it is filled in by keyed partitioning
     so downstream operators can scope state without re-invoking the key
@@ -70,10 +69,6 @@ class Record(StreamElement):
         self.value = value
         self.timestamp = timestamp
         self.key = key
-
-    @property
-    def is_record(self) -> bool:
-        return True
 
     def with_value(self, value: Any) -> "Record":
         """A copy carrying ``value`` but the same timestamp and key."""
@@ -96,17 +91,17 @@ class Record(StreamElement):
 class RecordBatch(StreamElement):
     """A run of consecutive :class:`Record`\\ s travelling as one element.
 
-    Batches exist purely on the wire: producers coalesce the records
-    emitted between two control elements (watermark, barrier,
+    Batches are the only way records travel: producers coalesce the
+    records emitted between two control elements (watermark, barrier,
     end-of-stream) and consumers unpack them, so a batch never straddles
     a control boundary.  That invariant is what keeps barrier alignment,
-    watermark propagation and replay determinism bit-identical to the
-    element-at-a-time path -- the batch frontier (the watermark state
+    watermark propagation and replay determinism bit-identical at every
+    batch size -- the batch frontier (the watermark state
     records inside it were emitted under) is exactly the frontier of the
     element preceding the batch, so no in-band frontier field is needed.
 
     For flow control a batch weighs ``len(records)`` against channel
-    capacity, keeping backpressure record-denominated in both modes.
+    capacity, keeping backpressure record-denominated.
     """
 
     __slots__ = ("records",)

@@ -54,23 +54,22 @@ if TYPE_CHECKING:  # imported lazily to avoid a plan <-> runtime cycle
 class EngineConfig:
     """Tunables of the execution loop.
 
-    ``elements_per_step`` is denominated in *records* regardless of
-    execution mode: a :class:`~repro.runtime.elements.RecordBatch` of
-    *n* records spends *n* of the step budget, exactly like *n* scalar
-    records, so tuning it means the same amount of per-round work
-    whether ``batch_size`` is 1 or 1024.  A batch larger than a task's
-    remaining budget is split at the budget boundary (the tail returns
-    to the channel head), so the throttle -- and the backpressure
-    dynamics it drives -- is record-exact in both modes.
+    ``elements_per_step`` is denominated in *records*: a
+    :class:`~repro.runtime.elements.RecordBatch` of *n* records spends
+    *n* of the step budget, so tuning it means the same amount of
+    per-round work whether ``batch_size`` is 1 or 1024.  A batch larger
+    than a task's remaining budget is split at the budget boundary (the
+    tail returns to the channel head), so the throttle -- and the
+    backpressure dynamics it drives -- is record-exact.
 
-    ``batch_size`` switches between scalar execution (1, the default:
-    every record travels as its own channel element) and batched
-    execution (>1: chain tails coalesce up to that many records into
-    one ``RecordBatch`` per channel push).  ``None`` reads the
-    ``REPRO_BATCH_SIZE`` environment variable (default 1), which is how
-    the differential test harness runs unmodified pipelines in both
-    modes.  Results are element-for-element identical either way --
-    batching is purely a mechanical-sympathy knob.
+    Records travel between tasks only in record batches: chain tails
+    coalesce their output into ``RecordBatch`` elements of at most
+    ``batch_size`` records per channel push (``1`` sends one record per
+    element).  ``None`` reads the ``REPRO_BATCH_SIZE`` environment
+    variable, or 1024 when it is unset, which is how the differential
+    test harness runs unmodified pipelines at other sizes.  Results are
+    element-for-element identical at every size -- batching is purely a
+    mechanical-sympathy knob.
 
     ``backend`` selects the execution backend.  ``"cooperative"`` (the
     default) is the deterministic single-interpreter scheduler below;
@@ -158,7 +157,7 @@ class EngineConfig:
         if elements_per_step < 1:
             raise ValueError("elements_per_step must be >= 1")
         if batch_size is None:
-            batch_size = int(os.environ.get("REPRO_BATCH_SIZE", "1"))
+            batch_size = _batch_size_from_env()
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if tick_ms < 0:
@@ -301,6 +300,16 @@ def _unknown_options_message(unknown: Dict[str, Any]) -> str:
         parts.append("%r%s" % (name, hint))
     return ("EngineConfig got unknown option(s): %s; known options: %s"
             % (", ".join(parts), ", ".join(known)))
+
+
+def _batch_size_from_env() -> int:
+    """``REPRO_BATCH_SIZE`` as a batch size, 1024 when it is unset; a bad
+    value names the variable."""
+    raw = os.environ.get("REPRO_BATCH_SIZE", "1024")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError("REPRO_BATCH_SIZE must be an integer >= 1; got %r"
+                         % raw)
+    return int(raw)
 
 
 #: Public alias: the fluent API docs talk about "execution config".

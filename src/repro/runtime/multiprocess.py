@@ -301,10 +301,10 @@ class ExchangeWriter:
     In ``"shm"`` mode a record batch is converted to columnar layout
     (the per-ordinal schema is inferred at the first batch boundary and
     re-verified per batch), encoded as one raw-bytes frame and published
-    to the pair's ring; everything else -- control elements, scalar
-    records, unschematizable/oversize batches, batches hitting a full
-    ring -- travels as a ``(seq, ordinal, element)`` pickle frame over
-    the pipe.  The per-pair sequence number stamped on *every* frame is
+    to the pair's ring; everything else -- control elements,
+    unschematizable/oversize batches, batches hitting a full ring --
+    travels as a ``(seq, ordinal, element)`` pickle frame over the
+    pipe.  The per-pair sequence number stamped on *every* frame is
     what lets the receiver stitch the two transports back into the exact
     per-channel FIFO order.
 
@@ -333,8 +333,6 @@ class ExchangeWriter:
             stats["pipe_bytes"] += size
             if element.is_batch:
                 stats["pipe_records"] += len(element)
-            elif element.is_record:
-                stats["pipe_records"] += 1
             else:
                 stats["control_frames"] += 1
             return
@@ -363,8 +361,6 @@ class ExchangeWriter:
             if element.is_columnar:
                 # memoryview columns defeat pickle; ship the row twin.
                 element = RecordBatch(list(element.records))
-        elif element.is_record:
-            stats["pipe_records"] += 1
         elif not element.is_batch:
             stats["control_frames"] += 1
         size = self.pipe.send((seq, ordinal, element))

@@ -45,9 +45,9 @@ class OperatorContext:
         self.metrics = metrics
         self.clock = clock
         self._collector = collector
-        #: Batch-aware collector installed by the owning task when the
-        #: chain tail buffers output (batched mode): takes a whole list
-        #: of records in one call.  ``None`` -> fall back to a
+        #: Batch-aware collector installed by the owning task on the
+        #: chain tail: takes a whole list of records in one call.
+        #: ``None`` (other chain positions, profiling) -> fall back to a
         #: per-record loop over ``_collector``.
         self.batch_collector: Optional[Callable[[List[Record]], None]] = None
         self.current_timestamp: Optional[int] = None

@@ -7,8 +7,10 @@ step-driven by the scheduler:
 * ``step()`` consumes a bounded number of elements from its input
   channels (fair round-robin) or, for sources, emits a bounded burst;
 * records flow synchronously through the chain -- each operator's
-  collector dispatches straight into the next operator, and the chain
-  tail routes into output edges via their partitioners;
+  collector dispatches straight into the next operator; the chain tail
+  buffers its output and routes it into the output edges via their
+  partitioners as record batches of at most ``batch_size`` records (a
+  record never travels on a channel on its own);
 * watermarks are tracked per input channel; when the minimum across all
   live channels advances, due event-time timers fire for every chained
   operator (in chain order) before the watermark is forwarded;
@@ -72,25 +74,14 @@ class OutputEdge:
         self.channels = channels
         self.subtask_index = subtask_index
 
-    def emit_record(self, record: Record) -> None:
-        if isinstance(self.partitioner, HashPartitioner):
-            key = self.partitioner.key_selector(record.value)
-            stamped = Record(record.value, record.timestamp, key)
-            self.channels[hash_key(key) % len(self.channels)].push(stamped)
-            return
-        for index in self.partitioner.select(record, len(self.channels),
-                                             self.subtask_index):
-            self.channels[index].push(record)
-
     def emit_batch(self, records: List[Record]) -> None:
         """Route a run of records in one call, preserving per-channel
         FIFO order.
 
         Pointwise and global routes forward one batch object; keyed and
         round-robin routes group records into per-channel sub-batches in
-        a single pass -- the partitioning work that the scalar path pays
-        per record is paid once per batch here.  Unknown partitioners
-        fall back to per-record routing.
+        a single pass.  Other partitioners are asked per record through
+        ``select()`` and still produce one batch per channel.
         """
         channels = self.channels
         partitioner = self.partitioner
@@ -138,8 +129,13 @@ class OutputEdge:
                 if bucket:
                     channels[index].push(RecordBatch(bucket))
             return
-        for record in records:
-            self.emit_record(record)
+        total = len(channels)
+        selected: Dict[int, List[Record]] = {}
+        for r in records:
+            for index in partitioner.select(r, total, self.subtask_index):
+                selected.setdefault(index, []).append(r)
+        for index, bucket in selected.items():
+            channels[index].push(RecordBatch(bucket))
 
     @property
     def passes_columnar(self) -> bool:
@@ -217,14 +213,14 @@ class Task:
         self.metrics = metrics
         self.elements_per_step = elements_per_step
         self.batch_size = batch_size
-        self._batching = batch_size > 1
         #: Span collector of the observability layer; ``None`` (the
         #: default) keeps every tracing branch a dead ``is not None``.
         self._tracer = tracer
         #: Records emitted by the chain tail since the last flush; they
-        #: leave as one RecordBatch at the next control element, buffer
-        #: fill, or end of step -- which is what guarantees a batch never
-        #: straddles a watermark/barrier/EOS boundary.
+        #: leave as RecordBatches of at most ``batch_size`` records at the
+        #: next control element, buffer fill, or end of step -- which is
+        #: what guarantees a batch never straddles a watermark/barrier/EOS
+        #: boundary.
         self._out_buffer: List[Record] = []
 
         self.inputs: List[Tuple[Channel, int]] = []   # (channel, input index)
@@ -269,8 +265,7 @@ class Task:
 
         # Build the chain back to front so each collector targets the next.
         self.chain: List[_ChainedOperator] = []
-        collector = (self._buffer_output if self._batching
-                     else self._route_to_outputs)
+        collector = self._buffer_output
         tail = True
         for position in reversed(range(len(operators))):
             operator = operators[position]
@@ -278,7 +273,7 @@ class Task:
             timers = TimerService()
             ctx = OperatorContext(subtask_index, parallelism, backend, timers,
                                   metrics, clock, collector)
-            if tail and self._batching:
+            if tail:
                 # The chain tail may hand the output buffer whole record
                 # runs (SourceContext.collect_batch and friends).
                 ctx.batch_collector = self._buffer_output_batch
@@ -299,9 +294,9 @@ class Task:
                             if self._is_source else None)
         self._opened = False
 
-        # Batched fast path: fuse the longest stateless prefix of the
-        # chain into one records-in/records-out function.  Profiling
-        # keeps the unfused path so per-operator counters stay exact.
+        # Fast path: fuse the longest stateless prefix of the chain into
+        # one records-in/records-out function.  Profiling keeps the
+        # unfused path so per-operator counters stay exact.
         self._fused_fn = None
         self._fused_prefix = 0
         # Columnar fast path: the same stateless prefix compiled into a
@@ -311,7 +306,7 @@ class Task:
         # row fusion (the fallback is counted per-operator instead).
         self._column_kernel = None
         self._kernel_prefix = 0
-        if self._batching and not self._is_source and not operator_profiling:
+        if not self._is_source and not operator_profiling:
             from repro.plan.chaining import (
                 compile_batch_chain,
                 compile_column_chain,
@@ -475,14 +470,9 @@ class Task:
             chained.operator.process(record)
         return dispatch
 
-    def _route_to_outputs(self, record: Record) -> None:
-        self._records_out.inc()
-        for edge in self.output_edges:
-            edge.emit_record(record)
-
     def _buffer_output(self, record: Record) -> None:
-        """Chain-tail collector in batched mode: coalesce emissions until
-        the buffer fills or a control element forces a flush."""
+        """Chain-tail collector: coalesce emissions until the buffer
+        fills or a control element forces a flush."""
         self._out_buffer.append(record)
         if len(self._out_buffer) >= self.batch_size:
             self._flush_out_buffer()
@@ -495,18 +485,20 @@ class Task:
             self._flush_out_buffer()
 
     def _flush_out_buffer(self) -> None:
+        """Route the buffered records downstream in chunks of at most
+        ``batch_size`` records, so ``batch_size`` caps every data
+        element a channel carries even when a bulk run overfilled the
+        buffer."""
         buffer = self._out_buffer
         if not buffer:
             return
         self._out_buffer = []
         self._records_out.inc(len(buffer))
-        if len(buffer) == 1:
-            record = buffer[0]
+        size = self.batch_size
+        for start in range(0, len(buffer), size):
+            chunk = buffer if len(buffer) <= size else buffer[start:start + size]
             for edge in self.output_edges:
-                edge.emit_record(record)
-            return
-        for edge in self.output_edges:
-            edge.emit_batch(buffer)
+                edge.emit_batch(chunk)
 
     def _watermark_from_chain(self, position: int) -> Callable[[int], None]:
         """Watermarks generated *inside* the chain (timestamp assigners)
@@ -581,13 +573,12 @@ class Task:
         return True
 
     def _step_processing(self) -> bool:
-        # The step budget is denominated in *records* in both modes: a
-        # batch of n records spends n budget, so ``elements_per_step``
-        # means the same amount of work whether or not batching is on.
-        # A batch larger than the remaining budget is split: the head is
+        # The step budget is denominated in *records*: a batch of n
+        # records spends n budget, so ``elements_per_step`` means the
+        # same amount of work whatever the ``batch_size``.  A batch
+        # larger than the remaining budget is split: the head is
         # processed now and the tail goes back to the channel front, so
-        # the throttle is record-exact and backpressure builds at the
-        # same rate as in scalar execution.
+        # the throttle is record-exact.
         progressed = False
         budget = self.elements_per_step
         while budget > 0:
@@ -633,15 +624,7 @@ class Task:
         return None, -1
 
     def _dispatch_input(self, element: StreamElement, channel_index: int) -> None:
-        if element.is_record:
-            self._records_in.inc()
-            try:
-                self._process_record(element, channel_index)
-            except Exception as exc:
-                if self.quarantine_threshold is None:
-                    raise
-                self._quarantine(element, exc)
-        elif element.is_columnar:
+        if element.is_columnar:
             if len(element):
                 self._records_in.inc(len(element))
                 self._process_columnar(element, channel_index)
@@ -656,10 +639,6 @@ class Task:
             self._on_barrier(element, channel_index)
         elif element.is_end:
             self._on_channel_end(channel_index)
-
-    def _process_record(self, element: Record, channel_index: int) -> None:
-        _, input_index = self.inputs[channel_index]
-        self._process_record_on(element, input_index)
 
     def _process_record_on(self, element: Record, input_index: int) -> None:
         if self.poison_next_records > 0:
@@ -700,9 +679,7 @@ class Task:
         batch per-record duplicates no output.
         """
         _, input_index = self.inputs[channel_index]
-        if (input_index != 0 or self.poison_next_records > 0
-                or (self.quarantine_threshold is not None
-                    and not self._fused_all)):
+        if self._needs_replay(input_index, self._fused_all):
             self._process_records_individually(records, input_index)
             return
         fused = self._fused_fn
@@ -726,9 +703,7 @@ class Task:
                 return
             if self._fused_all:
                 if out:
-                    self._out_buffer.extend(out)
-                    if len(self._out_buffer) >= self.batch_size:
-                        self._flush_out_buffer()
+                    self._buffer_output_batch(out)
             elif out:
                 self.chain[self._fused_prefix].operator.process_batch(out)
             return
@@ -751,10 +726,7 @@ class Task:
         """
         _, input_index = self.inputs[channel_index]
         kernel = self._column_kernel
-        if (kernel is None or input_index != 0
-                or self.poison_next_records > 0
-                or (self.quarantine_threshold is not None
-                    and not self._kernel_all)):
+        if kernel is None or self._needs_replay(input_index, self._kernel_all):
             self._columnar_fallbacks.inc()
             if self.operator_stats:
                 self.operator_stats[0].columnar_fallbacks += 1
@@ -795,7 +767,7 @@ class Task:
                 out_batch = columnar_from_lists(values, timestamps, keys)
                 if out_batch is not None:
                     # Channel order: anything still buffered as rows
-                    # (earlier fallback batches, scalar records) must
+                    # (records of earlier fallback batches) must
                     # leave before this batch does.
                     if self._out_buffer:
                         self._flush_out_buffer()
@@ -807,16 +779,24 @@ class Task:
         out = [make(v, ts, k)
                for v, ts, k in zip(values, timestamps, keys)]
         if self._kernel_all:
-            self._out_buffer.extend(out)
-            if len(self._out_buffer) >= self.batch_size:
-                self._flush_out_buffer()
+            self._buffer_output_batch(out)
         else:
             self.chain[self._kernel_prefix].operator.process_batch(out)
 
+    def _needs_replay(self, input_index: int, pure_chain: bool) -> bool:
+        """Whether a batch must take the per-record replay path: a second
+        input, pending chaos poison, or quarantine over a chain whose
+        fast path is not pure end to end (``pure_chain``: fully fused or
+        fully kernel-covered, so an exception means nothing was emitted
+        and a per-record replay duplicates no output)."""
+        return (input_index != 0 or self.poison_next_records > 0
+                or (self.quarantine_threshold is not None and not pure_chain))
+
     def _process_records_individually(self, records: List[Record],
                                       input_index: int) -> None:
-        """Per-record fallback with the exact scalar-mode quarantine and
-        poison semantics (``records_in`` was already counted)."""
+        """The only per-record path: exact quarantine and poison
+        semantics, and second-input dispatch (``records_in`` was already
+        counted)."""
         for record in records:
             try:
                 self._process_record_on(record, input_index)
@@ -986,6 +966,7 @@ class Task:
             timers={str(i): chained.timers.snapshot()
                     for i, chained in enumerate(self.chain)},
             partitioners=partitioners,
+            next_input=self._next_input,
         )
         if self.checkpoint_ack is not None:
             self.checkpoint_ack(checkpoint_id, snapshot)
@@ -1002,6 +983,8 @@ class Task:
             state = snapshot.partitioners.get(str(i))
             if state is not None:
                 edge.partitioner.restore_state(state)
+        # Snapshots written before the cursor was checkpointed lack it.
+        self._next_input = getattr(snapshot, "next_input", 0)
 
     def reset_progress(self) -> None:
         """Clear watermark/barrier progress on recovery (channels are
@@ -1013,6 +996,7 @@ class Task:
         self._aligning_checkpoint = None
         self._aligned_channels = set()
         self.pending_checkpoint = None
+        self._next_input = 0
         self.finished = False
         self.failed = None
         # A restart is a fresh attempt: the quarantine budget resets and

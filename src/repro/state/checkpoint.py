@@ -24,11 +24,12 @@ class TaskSnapshot:
     """Everything one subtask contributes to a checkpoint."""
 
     __slots__ = ("subtask", "keyed_state", "operator_state", "timers",
-                 "partitioners")
+                 "partitioners", "next_input")
 
     def __init__(self, subtask: SubtaskId, keyed_state: Dict[str, Dict[Any, Any]],
                  operator_state: Any = None, timers: Optional[dict] = None,
-                 partitioners: Optional[Dict[str, Any]] = None) -> None:
+                 partitioners: Optional[Dict[str, Any]] = None,
+                 next_input: int = 0) -> None:
         self.subtask = subtask
         self.keyed_state = keyed_state
         self.operator_state = operator_state
@@ -38,6 +39,10 @@ class TaskSnapshot:
         #: consistent cut so post-restore round-robin placement replays
         #: the original run.
         self.partitioners = partitioners or {}
+        #: The task's fair-poll cursor over its input channels, so a
+        #: restored multi-input task merges its inputs in the same order
+        #: as the run that did not crash.
+        self.next_input = next_input
 
     def __repr__(self) -> str:
         return "TaskSnapshot(%s#%d)" % self.subtask

@@ -134,9 +134,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="write shrunk repro snippets into this "
                              "directory (for CI artifacts)")
     parser.add_argument("--batch-size", type=int, default=None,
-                        help="run every oracle pipeline in batched "
-                             "execution mode with this record-batch size "
-                             "(sets REPRO_BATCH_SIZE; default: scalar)")
+                        help="run every oracle pipeline with this "
+                             "record-batch size (sets REPRO_BATCH_SIZE; "
+                             "default: the engine default, 1024)")
     args = parser.parse_args(argv)
 
     if args.batch_size is not None:
@@ -144,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error("--batch-size must be >= 1")
         # Oracles build their engines with the default EngineConfig,
         # which resolves batch_size from this variable -- the same
-        # pipelines fuzz in both execution modes with no signature churn.
+        # pipelines fuzz at any batch size with no signature churn.
         os.environ["REPRO_BATCH_SIZE"] = str(args.batch_size)
 
     names = [name.strip() for name in args.oracles.split(",") if name.strip()]

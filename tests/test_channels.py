@@ -22,7 +22,6 @@ def _balanced(channel):
 
 
 def test_element_weight():
-    assert element_weight(Record(1)) == 1
     assert element_weight(RecordBatch([Record(1), Record(2)])) == 2
     assert element_weight(RecordBatch([])) == 0
     assert element_weight(Watermark(5)) == 1
@@ -33,7 +32,7 @@ def test_element_weight():
 def test_push_poll_balance():
     channel = Channel("t")
     for i in range(4):
-        channel.push(Record(i))
+        channel.push(RecordBatch([Record(i)]))
     channel.push(RecordBatch([Record(10), Record(11), Record(12)]))
     assert channel.pushed == 7 and channel.size == 7
     channel.poll()
@@ -45,15 +44,15 @@ def test_push_poll_balance():
 def test_clear_accounts_dropped_records():
     channel = Channel("t")
     for i in range(3):
-        channel.push(Record(i))
+        channel.push(RecordBatch([Record(i)]))
     channel.push(RecordBatch([Record(3), Record(4)]))
     channel.poll()
     channel.clear()
     assert channel.size == 0 and channel.is_empty
-    assert channel.cleared == 4  # 2 scalars + the 2-record batch
+    assert channel.cleared == 4  # 2 one-record batches + the 2-record batch
     assert _balanced(channel)
     # Cleared counts accumulate across repeated restore cycles.
-    channel.push(Record(9))
+    channel.push(RecordBatch([Record(9)]))
     channel.clear()
     assert channel.cleared == 5
     assert _balanced(channel)
@@ -112,7 +111,7 @@ def test_counters_balance_after_crash_restore():
 
 def test_chaos_drop_and_duplicate_keep_balance():
     channel = Channel("t")
-    channel.push(Record("a"))
+    channel.push(RecordBatch([Record("a")]))
     channel.push(RecordBatch([Record("b"), Record("c")]))
     assert channel.drop_one_record()
     assert channel.cleared == 1

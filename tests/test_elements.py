@@ -7,17 +7,15 @@ from repro.runtime.elements import (
     CheckpointBarrier,
     EndOfStream,
     Record,
+    StreamElement,
     Watermark,
 )
 
 
 class TestRecord:
     def test_kind_flags(self):
-        record = Record(1, 10)
-        assert record.is_record
-        assert not record.is_watermark
-        assert not record.is_barrier
-        assert not record.is_end
+        # A record is a row inside a batch, never a channel element.
+        assert not isinstance(Record(1, 10), StreamElement)
 
     def test_with_value_preserves_timestamp_and_key(self):
         record = Record("x", 42, key="k")
@@ -40,7 +38,6 @@ class TestWatermark:
     def test_kind_flags(self):
         watermark = Watermark(5)
         assert watermark.is_watermark
-        assert not watermark.is_record
 
     def test_equality_and_hash(self):
         assert Watermark(5) == Watermark(5)
